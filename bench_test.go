@@ -242,22 +242,19 @@ func BenchmarkExperimentPacketized(b *testing.B) {
 	}
 }
 
-// BenchmarkExperimentPacketizedSharded measures the partitioned engine
-// at the Table I saturation point (A=200 E, packetized RTP). Each shard
-// count replicates the workload across that many isolated islands — one
+// BenchmarkExperimentPacketizedSharded measures the engine at the
+// Table I saturation point (A=200 E, packetized RTP). Each shard count
+// replicates the workload across that many isolated islands — one
 // island per shard — so the per-shard work is identical and events/sec
-// is the honest throughput metric. shards=1 is the classic
-// single-scheduler engine, the baseline bench-check tracks.
+// is the honest throughput metric. shards=1 runs one island inline on
+// the benchmark goroutine, the baseline bench-check tracks.
 func BenchmarkExperimentPacketizedSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := repro.Experiment{
 					Workload: 200, Capacity: 165, Media: repro.MediaPacketized, Seed: uint64(i) + 1,
-				}
-				if shards > 1 {
-					cfg.Shards = shards
-					cfg.Islands = shards
+					Shards: shards, Islands: shards,
 				}
 				res := repro.Run(cfg)
 				b.ReportMetric(float64(res.Events), "events/run")
@@ -270,7 +267,7 @@ func BenchmarkExperimentPacketizedSharded(b *testing.B) {
 }
 
 // TestShardScalingOnMultiCore asserts the tentpole speedup target —
-// ≥2.5× events/sec at shards=4 over the single-scheduler engine — on
+// ≥2.5× events/sec at shards=4 over shards=1 — on
 // hosts that can actually express it. A conservative-lookahead engine
 // cannot beat its own barrier overhead on one core, so the check skips
 // below 4 CPUs (the 1-core differential suite still pins correctness).

@@ -49,7 +49,7 @@ func main() {
 		registrar = flag.Bool("registrar", false, "registrar throughput and avalanche-drain vs location-store shard count")
 		regWire   = flag.Bool("registrar-wire", false, "add the loopback-UDP column to -registrar (real sockets)")
 		capacity  = flag.Int("capacity", 165, "PBX channel capacity")
-		shards    = flag.Int("shards", 0, "run experiments on the partitioned engine with N shards (0 = classic engine)")
+		shards    = flag.Int("shards", 0, "partition each experiment's simulation across N shards (0 and 1 both mean one; results are identical at every N)")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel experiment workers")
 		seed      = flag.Uint64("seed", 20150525, "base RNG seed")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -46,9 +46,9 @@ type ShardScalingOptions struct {
 }
 
 // ShardScalingTable measures simulator throughput at each shard count.
-// shards=1 is the classic single-scheduler engine; every other row
-// runs k islands on k shards. The workload per island is identical, so
-// events/sec is the honest throughput metric across rows.
+// Each row runs k islands on k shards, so shards=1 is the plain
+// one-island run. The workload per island is identical, so events/sec
+// is the honest throughput metric across rows.
 func ShardScalingTable(opts ShardScalingOptions) ShardScaling {
 	if opts.Workload == 0 {
 		opts.Workload = 200
@@ -73,10 +73,8 @@ func ShardScalingTable(opts ShardScalingOptions) ShardScaling {
 			Capacity: opts.Capacity,
 			Media:    sipp.MediaPacketized,
 			Seed:     opts.Seed,
-		}
-		if k > 1 {
-			cfg.Shards = k
-			cfg.Islands = k
+			Shards:   k,
+			Islands:  k,
 		}
 		res := core.Run(cfg)
 		secs := res.Elapsed.Seconds()

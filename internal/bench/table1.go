@@ -25,8 +25,8 @@ type TableIOptions struct {
 	Workers int
 	// Seed is the base seed.
 	Seed uint64
-	// Shards > 1 runs each experiment on the partitioned engine; the
-	// results are bit-identical to the classic engine either way.
+	// Shards is each experiment's shard count (0 and 1 both mean one);
+	// the results are bit-identical at every count.
 	Shards int
 }
 

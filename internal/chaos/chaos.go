@@ -71,9 +71,9 @@ type Scenario struct {
 	PBX pbx.Config
 	// Load is the offered traffic.
 	Load sipp.Config
-	// Shards, when > 1, runs the scenario on the partitioned engine
-	// (generator bank and PBX on separate schedulers); results are
-	// bit-identical to the single-scheduler run. Faulted links whose
+	// Shards, when > 1, partitions the scenario across that many
+	// schedulers (generator bank and PBX on separate shards); results
+	// are bit-identical to the one-shard run. Faulted links whose
 	// jitter reaches their delay leave no guaranteed cross-shard
 	// lookahead, so those scenarios collapse to a single host group.
 	Shards int

@@ -70,10 +70,10 @@ type ClusterScenario struct {
 	Load sipp.Config
 	// Ops is the fault script.
 	Ops []Op
-	// Shards, when > 1, runs the scenario on the partitioned engine:
-	// the balancer and its backends share one shard (placement reads
-	// backend state synchronously), the generator banks another.
-	// Results are bit-identical to the single-scheduler run.
+	// Shards, when > 1, partitions the scenario across that many
+	// schedulers: the balancer and its backends share one shard
+	// (placement reads backend state synchronously), the generator
+	// banks another. Results are bit-identical to the one-shard run.
 	Shards int
 }
 

@@ -52,8 +52,8 @@ type RegistrationScenario struct {
 	// MaxPeak503 on the per-second 503 peak at the client (0 = unchecked).
 	MaxDrain   time.Duration
 	MaxPeak503 int
-	// Shards > 1 runs on the partitioned engine (client bank and PBX on
-	// separate schedulers), bit-identical to the single-scheduler run.
+	// Shards > 1 puts the client bank and the PBX on separate shards,
+	// bit-identical to the one-shard run.
 	Shards int
 }
 

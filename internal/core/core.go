@@ -79,27 +79,26 @@ type ExperimentConfig struct {
 	// knob the bench frontier sweeps head-to-head. "" keeps the legacy
 	// per-field knobs (Capacity/CPUAdmission/QualityFloorMOS) exactly
 	// as configured; the named strategies overlay the admission and
-	// degradation fields through one shared mapping, so the two
-	// engines (and therefore every shard count) agree bit-for-bit.
+	// degradation fields through one shared mapping (applyStrategy).
 	Strategy string
 	// SLO overrides the service-level rules the per-second series is
 	// judged against; nil applies monitor.DefaultSLORules().
 	SLO *monitor.SLORules
 	// Seed drives all randomness in the run.
 	Seed uint64
-	// Shards, when > 1, partitions the simulated fabric across that
-	// many schedulers running on dedicated goroutines, synchronized
-	// with conservative lookahead on the minimum cross-shard link
-	// delay. The event order — and therefore every result field — is
-	// bit-identical to the single-threaded engine. 0 or 1 runs the
-	// classic single-scheduler engine.
+	// Shards is the parallelism of the run: the simulated fabric is
+	// partitioned across that many schedulers, synchronized with
+	// conservative lookahead on the minimum cross-shard link delay;
+	// shards beyond the first run on dedicated goroutines. The event
+	// order — and therefore every result field — is the same at every
+	// shard count. 0 and 1 both mean one shard.
 	Shards int
 	// Islands, when > 1, replicates the whole workload that many times
 	// in one simulation: island 0 keeps the canonical host names and
 	// seeds and is the one the result reports; the replicas only add
-	// events. With Shards > 1 each island is placed whole on one shard
-	// (no cross-shard traffic), which is the near-linear-scaling
-	// configuration the engine benchmarks use.
+	// events. Each island is placed whole on one shard (no cross-shard
+	// traffic), which is the near-linear-scaling configuration the
+	// engine benchmarks use.
 	Islands int
 }
 
@@ -121,10 +120,8 @@ const (
 	StrategyLadder = "ladder"
 )
 
-// applyStrategy overlays the named strategy onto the PBX config. Run
-// and runSharded both route through this single mapping, which is what
-// keeps a strategy's behaviour engine-invariant (and therefore
-// shard-count-invariant).
+// applyStrategy overlays the named strategy onto the PBX config of
+// every island Run builds.
 func applyStrategy(cfg ExperimentConfig, pc pbx.Config) pbx.Config {
 	switch cfg.Strategy {
 	case "":
@@ -205,8 +202,8 @@ type ExperimentResult struct {
 	// produced over Series (empty when every tick met the rules).
 	SLOBreaches []monitor.Breach
 	// CDRs is the server's call-detail-record stream in close order,
-	// the ledger the determinism-differential harness compares between
-	// engine modes.
+	// the ledger the determinism-differential harness compares across
+	// shard counts.
 	CDRs []pbx.CDR
 }
 
@@ -221,129 +218,238 @@ func (r ExperimentResult) AnalyticalBlocking(n int) float64 {
 	return erlang.B(r.Config.Workload, n)
 }
 
-// Run executes one experiment to completion and returns its results.
-func Run(cfg ExperimentConfig) ExperimentResult {
-	if cfg.Shards > 1 {
-		return runSharded(cfg)
+// islandSalt decorrelates the replica workloads' seeds. Island 0 uses
+// salt 0, keeping the canonical seeds.
+func islandSalt(i int) uint64 { return uint64(i) * 0x9e3779b97f4a7c15 }
+
+// islandHosts returns the host names of one workload replica. Island 0
+// keeps the canonical names, so its traffic, telemetry and capture are
+// byte-identical to a single-island run.
+func islandHosts(i int) (pbxHost, callerHost, calleeHost string) {
+	if i == 0 {
+		return "pbx", "sippc", "sipps"
 	}
+	return fmt.Sprintf("pbx%d", i), fmt.Sprintf("sippc%d", i), fmt.Sprintf("sipps%d", i)
+}
+
+// Run executes one experiment to completion and returns its results.
+// The simulated fabric runs on a ShardGroup of max(1, cfg.Shards)
+// schedulers in conservative-lookahead lock-step, with host groups
+// placed by AssignShards. One shard runs inline on the caller's
+// goroutine; every observable result field is bit-identical at any
+// shard count for the same config and seed (the difftest package pins
+// this); only Elapsed differs.
+func Run(cfg ExperimentConfig) ExperimentResult {
 	cfg = cfg.withDefaults()
 	start := time.Now()
+	k := max(1, cfg.Shards)
+	nIslands := max(1, cfg.Islands)
 
-	sched := netsim.NewScheduler()
+	group := netsim.NewShardGroup(k)
 	rng := stats.NewRNG(cfg.Seed)
-	net := netsim.NewNetwork(sched, rng.Split())
+
+	// Placement: a lone island splits into {generator pair} and {pbx}
+	// so the signalling and media paths actually cross shards; replica
+	// islands are placed whole (they never talk to each other, which
+	// unbounds the lookahead and is what makes them scale).
+	var groups [][]string
+	for i := 0; i < nIslands; i++ {
+		p, c, s := islandHosts(i)
+		if nIslands > 1 {
+			groups = append(groups, []string{p, c, s})
+		} else {
+			groups = append(groups, []string{c, s}, []string{p})
+		}
+	}
+	hostShard := netsim.AssignShards(cfg.Seed, groups, k)
+	net := netsim.NewShardedNetwork(group, rng.Split(), hostShard)
+	if nIslands > 1 {
+		net.SetIsolatedShards()
+	}
 	net.SetDefaultProfile(netsim.LinkProfile{
 		Delay:  cfg.LinkDelay,
 		Jitter: cfg.LinkJitter,
 		Loss:   cfg.LinkLoss,
 	})
-	clock := transport.SimClock{Sched: sched}
 
-	// Observation plane: one registry shared by every subsystem, plus
-	// the scheduler's pull-style families.
+	// Observation plane: one registry shared by island 0's subsystems,
+	// plus the scheduler's pull-style families.
 	reg := telemetry.NewRegistry()
-	monitor.RegisterScheduler(reg, sched)
+	monitor.RegisterScheduler(reg, group)
 
-	// Measurement tap: the mirrored switch port of the testbed.
-	capture := monitor.NewCapture()
-	net.AddTap(capture.Tap())
-
-	// The PBX host and its directory.
-	dir := directory.New()
-	for _, u := range []string{"uac", "uas"} {
-		if err := dir.AddUser(directory.User{Username: u, Password: "pw-" + u}); err != nil {
-			panic(fmt.Sprintf("core: provisioning %s: %v", u, err))
+	// Measurement taps — the mirrored switch port of the testbed: one
+	// capture per shard that carries island-0 hosts, merged after the
+	// run. With replicas present the taps filter on island-0 senders so
+	// the merged capture equals the single-island one.
+	obsShards := map[int]bool{net.ShardOf("pbx"): true, net.ShardOf("sippc"): true}
+	var caps []*monitor.Capture
+	for s := 0; s < k; s++ {
+		if !obsShards[s] {
+			continue
 		}
+		c := monitor.NewCapture()
+		caps = append(caps, c)
+		tap := c.Tap()
+		if nIslands > 1 {
+			inner := tap
+			tap = func(now time.Duration, pkt *netsim.Packet) {
+				switch pkt.Src.Host {
+				case "pbx", "sippc", "sipps":
+					inner(now, pkt)
+				}
+			}
+		}
+		net.AddShardTap(s, tap)
 	}
-	factory := func(port int) (transport.Transport, error) {
-		return transport.NewSim(net, fmt.Sprintf("pbx:%d", port)), nil
+
+	type island struct {
+		server   *pbx.Server
+		finished bool
+		results  sipp.Results
 	}
-	pbxEP := sip.NewEndpoint(transport.NewSim(net, "pbx:5060"), clock)
-	pbxEP.UseTelemetry(reg)
-	server := pbx.New(
-		pbxEP,
-		dir, factory,
-		applyStrategy(cfg, pbx.Config{
-			MaxChannels:     cfg.Capacity,
-			CPUAdmission:    cfg.CPUAdmission,
-			CPUThreshold:    cfg.CPUThreshold,
-			RelayRTP:        cfg.Media == sipp.MediaPacketized,
-			Codecs:          cfg.PBXCodecs,
-			QualityFloorMOS: cfg.QualityFloorMOS,
-			Seed:            cfg.Seed ^ 0x9bd1,
-			Telemetry:       reg,
-		}))
+	islands := make([]*island, nIslands)
 
-	// The SIPp pair (Fig. 4: generator client and server machines).
-	gen := sipp.New(net, "sippc", "sipps", "pbx:5060", sipp.Config{
-		Rate:         cfg.ArrivalRate(),
-		Window:       cfg.Window,
-		Warmup:       cfg.Warmup,
-		Hold:         cfg.Hold,
-		Arrivals:     cfg.Arrivals,
-		HoldDist:     cfg.HoldDist,
-		Media:        cfg.Media,
-		CodecMix:     cfg.CodecMix,
-		CalleeCodecs: cfg.CalleeCodecs,
-		Target:       "uas",
-		Seed:         cfg.Seed ^ 0x51bb01,
-		Telemetry:    reg,
-	})
+	var sampler *monitor.Sampler
+	var slo *monitor.SLO
+	for i := 0; i < nIslands; i++ {
+		isl := &island{}
+		islands[i] = isl
+		pbxHost, callerHost, calleeHost := islandHosts(i)
+		pbxClock := transport.SimClock{Sched: net.SchedulerFor(pbxHost)}
 
-	// Per-second time series, stopped with the traffic so the drain
-	// tail does not pad the series. The SLO evaluator rides the
-	// sampler's tick hook, judging each finished second.
-	sampler := monitor.NewSampler(reg, clock)
-	rules := monitor.DefaultSLORules()
-	if cfg.SLO != nil {
-		rules = *cfg.SLO
+		var islReg *telemetry.Registry
+		if i == 0 {
+			islReg = reg
+		}
+
+		// The PBX host and its directory.
+		dir := directory.New()
+		for _, u := range []string{"uac", "uas"} {
+			if err := dir.AddUser(directory.User{Username: u, Password: "pw-" + u}); err != nil {
+				panic(fmt.Sprintf("core: provisioning %s: %v", u, err))
+			}
+		}
+		factory := func(port int) (transport.Transport, error) {
+			return transport.NewSim(net, fmt.Sprintf("%s:%d", pbxHost, port)), nil
+		}
+		pbxEP := sip.NewEndpoint(transport.NewSim(net, pbxHost+":5060"), pbxClock)
+		if islReg != nil {
+			pbxEP.UseTelemetry(islReg)
+		}
+		isl.server = pbx.New(
+			pbxEP,
+			dir, factory,
+			applyStrategy(cfg, pbx.Config{
+				MaxChannels:     cfg.Capacity,
+				CPUAdmission:    cfg.CPUAdmission,
+				CPUThreshold:    cfg.CPUThreshold,
+				RelayRTP:        cfg.Media == sipp.MediaPacketized,
+				Codecs:          cfg.PBXCodecs,
+				QualityFloorMOS: cfg.QualityFloorMOS,
+				Seed:            cfg.Seed ^ 0x9bd1 ^ islandSalt(i),
+				Telemetry:       islReg,
+			}))
+
+		// The SIPp pair (Fig. 4: generator client and server machines).
+		gen := sipp.New(net, callerHost, calleeHost, pbxHost+":5060", sipp.Config{
+			Rate:         cfg.ArrivalRate(),
+			Window:       cfg.Window,
+			Warmup:       cfg.Warmup,
+			Hold:         cfg.Hold,
+			Arrivals:     cfg.Arrivals,
+			HoldDist:     cfg.HoldDist,
+			Media:        cfg.Media,
+			CodecMix:     cfg.CodecMix,
+			CalleeCodecs: cfg.CalleeCodecs,
+			Target:       "uas",
+			Seed:         cfg.Seed ^ 0x51bb01 ^ islandSalt(i),
+			Telemetry:    islReg,
+		})
+
+		if i == 0 {
+			// Per-second time series, ticking as an event on the PBX
+			// shard and stopped with the traffic so the drain tail does
+			// not pad the series; whole-second window splits make each
+			// tick's cross-shard counter reads deterministic. The SLO
+			// evaluator rides the sampler's tick hook, judging each
+			// finished second.
+			sampler = monitor.NewSampler(reg, pbxClock)
+			rules := monitor.DefaultSLORules()
+			if cfg.SLO != nil {
+				rules = *cfg.SLO
+			}
+			slo = monitor.NewSLO(reg, rules)
+			sampler.SetObserver(slo.Observe)
+			sampler.Start()
+		}
+
+		genSched := net.SchedulerFor(callerHost)
+		genShard := net.ShardOf(callerHost)
+		gen.Start(func(r sipp.Results) {
+			isl.results = r
+			isl.finished = true
+			// Stopping the sampler and freezing the PBX's CPU meter (so
+			// the reported band spans the loaded interval, not the idle
+			// drain tail) touch another shard's state, so both are
+			// staged as barrier controls — stamped with the decision
+			// time so the flushed sample does not depend on the shard
+			// count. With one shard the control runs at once.
+			doneAt := genSched.Now()
+			group.Control(genShard, func() {
+				if i == 0 {
+					sampler.StopAt(doneAt)
+				}
+				isl.server.Close()
+			})
+		})
 	}
-	slo := monitor.NewSLO(reg, rules)
-	sampler.SetObserver(slo.Observe)
-	sampler.Start()
 
-	var results sipp.Results
-	finished := false
-	gen.Start(func(r sipp.Results) {
-		results = r
-		finished = true
-		sampler.Stop()
-		// Freeze the CPU meter at end of traffic so the reported band
-		// spans the loaded interval, not the idle drain tail.
-		server.Close()
-	})
+	allDone := func() bool {
+		for _, isl := range islands {
+			if !isl.finished {
+				return false
+			}
+		}
+		return true
+	}
 
 	// Horizon: registration + window + the longest possible call tail
 	// plus transaction timeouts.
 	horizon := cfg.Window + 10*cfg.Hold + 5*time.Minute
-	if _, err := sched.Run(horizon); err != nil {
+	if err := group.Run(horizon); err != nil {
 		panic(fmt.Sprintf("core: scheduler: %v", err))
 	}
-	if !finished {
+	if !allDone() {
 		// Exponential hold times can exceed the 10·h allowance;
-		// extend until the generator completes.
-		for i := 0; i < 64 && !finished; i++ {
-			if _, err := sched.Run(sched.Now() + horizon); err != nil {
+		// extend until every generator completes.
+		for i := 0; i < 64 && !allDone(); i++ {
+			if err := group.Run(group.Now() + horizon); err != nil {
 				panic(fmt.Sprintf("core: scheduler: %v", err))
 			}
 		}
-		if !finished {
+		if !allDone() {
 			panic("core: experiment did not converge")
 		}
 	}
 
+	capture := caps[0]
+	for _, c := range caps[1:] {
+		capture.Merge(c)
+	}
+
+	server0 := islands[0].server
 	res := ExperimentResult{
 		Config:       cfg,
-		Load:         results,
-		Server:       server.CountersSnapshot(),
+		Load:         islands[0].results,
+		Server:       server0.CountersSnapshot(),
 		Capture:      capture.Row(),
-		ChannelsUsed: server.CountersSnapshot().PeakChannels,
-		Events:       sched.Fired(),
+		ChannelsUsed: server0.CountersSnapshot().PeakChannels,
+		Events:       group.Fired(),
 		Elapsed:      time.Since(start),
 	}
-	res.CPULo, res.CPUMean, res.CPUHi = server.CPUBand()
-	res.MOS = collectMOS(cfg, server, results)
-	res.CDRs = server.CDRs()
+	res.CPULo, res.CPUMean, res.CPUHi = server0.CPUBand()
+	res.MOS = collectMOS(cfg, server0, islands[0].results)
+	res.CDRs = server0.CDRs()
 	res.Telemetry = reg.Snapshot()
 	res.Series = sampler.Samples()
 	res.SLOBreaches = slo.Breaches()

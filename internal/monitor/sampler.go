@@ -213,7 +213,7 @@ func (sp *Sampler) Stop() { sp.StopAt(sp.clock.Now()) }
 // now — the virtual time the stopping decision was made. A sharded run
 // stages the stop as a barrier control, so the clock has moved past the
 // decision by the time it applies; passing the decision time keeps the
-// flushed sample identical to the single-threaded engine's.
+// flushed sample identical at every shard count.
 func (sp *Sampler) StopAt(now time.Duration) {
 	if sp.stopped {
 		return

@@ -1,9 +1,9 @@
 // Package difftest is the determinism-differential harness of the
-// sharded engine: it executes the same experiment once on the classic
-// single-scheduler engine and once on the partitioned engine, then
-// compares every externally observable artifact — generator results,
-// PBX counters, the CDR stream, the wire capture, the telemetry
-// snapshot, the per-second series — demanding bit-identical output.
+// simulation engine: it executes the same experiment once on a
+// one-shard group and once partitioned across k shards, then compares
+// every externally observable artifact — generator results, PBX
+// counters, the CDR stream, the wire capture, the telemetry snapshot,
+// the per-second series — demanding bit-identical output.
 //
 // The sharded scheduler's correctness argument is a chain of ordering
 // equivalences (the (at, schedAt, ord) event key, per-link RNG streams,
@@ -38,19 +38,20 @@ func (d *diff) json(name string, a, b []byte) {
 	}
 }
 
-// DiffExperiment runs cfg on both engines — cfg.Shards forced to 0
-// (legacy) and to shards — and returns one entry per differing result
-// field (empty = bit-identical). Elapsed and Config are excluded: wall
-// time legitimately differs, and Config records the Shards knob itself.
+// DiffExperiment runs cfg with cfg.Shards set to 1 and to shards and
+// returns DiffResults of the two runs.
 func DiffExperiment(cfg core.ExperimentConfig, shards int) []string {
 	single := cfg
-	single.Shards = 0
+	single.Shards = 1
 	sharded := cfg
 	sharded.Shards = shards
+	return DiffResults(core.Run(single), core.Run(sharded))
+}
 
-	a := core.Run(single)
-	b := core.Run(sharded)
-
+// DiffResults returns one entry per differing result field of runs a
+// and b (empty = bit-identical). Elapsed and Config are excluded: wall
+// time legitimately differs, and Config records the Shards knob itself.
+func DiffResults(a, b core.ExperimentResult) []string {
 	var d diff
 	d.eq("Load", a.Load, b.Load)
 	d.eq("Server", a.Server, b.Server)
@@ -69,16 +70,9 @@ func DiffExperiment(cfg core.ExperimentConfig, shards int) []string {
 	return d.fields
 }
 
-// ExperimentEvents runs cfg on the engine selected by cfg.Shards and
-// returns the fired-event count, for pinning sharded runs against the
-// golden totals of the single-threaded engine.
-func ExperimentEvents(cfg core.ExperimentConfig) uint64 {
-	return core.Run(cfg).Events
-}
-
-// DiffScenario runs a chaos scenario on both engines and compares every
-// observation the harness records, including the fault-plane artifacts
-// (link counters, no-route drops, leak detectors).
+// DiffScenario runs a chaos scenario at one shard and at shards and
+// compares every observation the harness records, including the
+// fault-plane artifacts (link counters, no-route drops, leak detectors).
 func DiffScenario(sc chaos.Scenario, shards int) []string {
 	single := sc
 	single.Shards = 1
@@ -113,10 +107,10 @@ func DiffScenario(sc chaos.Scenario, shards int) []string {
 	return d.fields
 }
 
-// DiffRegistration runs a registration chaos scenario on both engines
-// and compares the generator's view, every incarnation's counters, the
-// nonce-cache counters, the location store's end state and the
-// telemetry snapshot.
+// DiffRegistration runs a registration chaos scenario at one shard and
+// at shards and compares the generator's view, every incarnation's
+// counters, the nonce-cache counters, the location store's end state
+// and the telemetry snapshot.
 func DiffRegistration(sc chaos.RegistrationScenario, shards int) []string {
 	single := sc
 	single.Shards = 1
@@ -144,8 +138,8 @@ func DiffRegistration(sc chaos.RegistrationScenario, shards int) []string {
 	return d.fields
 }
 
-// DiffCluster runs a cluster chaos scenario on both engines and
-// compares the failover timeline, balancer counters, per-backend
+// DiffCluster runs a cluster chaos scenario at one shard and at shards
+// and compares the failover timeline, balancer counters, per-backend
 // accounting and the observation plane.
 func DiffCluster(sc chaos.ClusterScenario, shards int) []string {
 	single := sc

@@ -12,10 +12,10 @@ import (
 	"repro/internal/sipp"
 )
 
-// goldenEvents pins the sharded engine directly against the event
-// totals of internal/core's TestGoldenDeterminism: the partitioned run
-// must fire exactly the events the single-threaded engine fires, not
-// merely agree with a fresh legacy run.
+// goldenEvents pins every shard count directly against the event
+// totals of internal/core's TestGoldenDeterminism: a partitioned run
+// must fire exactly the pinned events, not merely agree with a fresh
+// one-shard run.
 var goldenEvents = map[string]map[uint64]uint64{
 	"signalling-200E": {1: 5882, 42: 5704, 160: 6169},
 	"flow-model-12E":  {1: 915, 42: 934, 160: 1133},
@@ -37,28 +37,34 @@ func goldenConfigs() map[string]func(seed uint64) core.ExperimentConfig {
 }
 
 // TestDiffGoldenConfigs runs every golden configuration at three seeds
-// under shards=2 and shards=4, demanding bit-identical results against
-// the single-threaded engine and the pinned golden event totals. The
-// flow-model seed-1 cell doubles as the telemetry-snapshot golden
-// (core pins its JSON byte-for-byte; the diff harness pins sharded ==
-// legacy, so the sharded snapshot is transitively pinned to the file).
+// under shards=1, 2 and 4, pinning each run's event total to the golden
+// and demanding bit-identical results at shards 2 and 4 against the
+// one-shard run. The flow-model seed-1 cell doubles as the
+// telemetry-snapshot golden (core pins its JSON byte-for-byte at one
+// shard; the diff pins the partitioned snapshots to that one).
 func TestDiffGoldenConfigs(t *testing.T) {
 	for name, mk := range goldenConfigs() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range []uint64{1, 42, 160} {
+				var ref core.ExperimentResult
 				for _, shards := range []int{1, 2, 4} {
 					cfg := mk(seed)
-					if diffs := DiffExperiment(cfg, shards); len(diffs) > 0 {
+					cfg.Shards = shards
+					res := core.Run(cfg)
+					if got, want := res.Events, goldenEvents[name][seed]; got != want {
+						t.Errorf("seed=%d shards=%d events=%d, golden pin %d", seed, shards, got, want)
+					}
+					if shards == 1 {
+						ref = res
+						continue
+					}
+					if diffs := DiffResults(ref, res); len(diffs) > 0 {
 						for _, d := range diffs {
 							t.Errorf("seed=%d shards=%d %s", seed, shards, d)
 						}
 						return
-					}
-					cfg.Shards = shards
-					if got, want := ExperimentEvents(cfg), goldenEvents[name][seed]; got != want {
-						t.Errorf("seed=%d shards=%d events=%d, golden pin %d", seed, shards, got, want)
 					}
 				}
 			}
@@ -68,7 +74,7 @@ func TestDiffGoldenConfigs(t *testing.T) {
 
 // TestDiffCodecMix covers the transcoding plane: a mixed-codec
 // workload against an all-codec PBX forces SDP negotiation, payload
-// re-framing and per-call codec RNG draws through the sharded engine.
+// re-framing and per-call codec RNG draws through a partitioned run.
 func TestDiffCodecMix(t *testing.T) {
 	cfg := core.ExperimentConfig{
 		Workload: 12, Capacity: 165, Media: sipp.MediaPacketized,
@@ -80,7 +86,7 @@ func TestDiffCodecMix(t *testing.T) {
 		CalleeCodecs: []int{0, 8},
 		Seed:         42,
 	}
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range []int{2, 4} {
 		for _, d := range DiffExperiment(cfg, shards) {
 			t.Errorf("shards=%d %s", shards, d)
 		}
@@ -88,33 +94,34 @@ func TestDiffCodecMix(t *testing.T) {
 }
 
 // TestDiffIslands checks the replicated-workload placement: island 0 of
-// a 4-island, 4-shard run must report exactly what a single-island
-// single-thread run reports, while the replicas only add events.
+// a multi-island run must report exactly what a single-island run
+// reports, while the replicas only add events — whether each island
+// gets its own shard or all of them share one scheduler.
 func TestDiffIslands(t *testing.T) {
 	base := core.ExperimentConfig{Workload: 12, Capacity: 10, Seed: 7}
 	single := core.Run(base)
-	repl := base
-	repl.Shards = 4
-	repl.Islands = 4
-	res := core.Run(repl)
-	if got, want := res.Load, single.Load; len(got.Records) != len(want.Records) || got.Attempts != want.Attempts {
-		t.Errorf("island-0 load diverged: %+v vs %+v", got, want)
-	}
-	if len(res.CDRs) != len(single.CDRs) {
-		t.Errorf("island-0 CDRs: %d vs %d", len(res.CDRs), len(single.CDRs))
-	}
-	if res.Capture != single.Capture {
-		t.Errorf("island-0 capture diverged: %+v vs %+v", res.Capture, single.Capture)
-	}
-	if res.Events <= single.Events {
-		t.Errorf("replicas added no events: %d vs %d", res.Events, single.Events)
+	for _, shape := range []struct{ shards, islands int }{{4, 4}, {1, 3}, {0, 3}} {
+		repl := base
+		repl.Shards = shape.shards
+		repl.Islands = shape.islands
+		res := core.Run(repl)
+		if res.Events <= single.Events {
+			t.Errorf("shards=%d islands=%d: replicas added no events: %d vs %d",
+				shape.shards, shape.islands, res.Events, single.Events)
+		}
+		// The replicas' events also show in the scheduler's telemetry
+		// families; every other field is island 0's alone.
+		res.Events, res.Telemetry = single.Events, single.Telemetry
+		for _, d := range DiffResults(single, res) {
+			t.Errorf("shards=%d islands=%d: island 0 diverged: %s", shape.shards, shape.islands, d)
+		}
 	}
 }
 
 // TestDiffChaosScenarios replays the full chaos catalog — overload
 // control, dirty links (jitter ≥ delay collapses to one host group),
 // signalling partitions, the Erlang operating point — on the
-// partitioned engine.
+// partitioned run.
 func TestDiffChaosScenarios(t *testing.T) {
 	for _, sc := range chaos.Catalog(7) {
 		sc := sc
@@ -192,8 +199,7 @@ func TestDiffDegradationTimeline(t *testing.T) {
 
 // TestDiffRegistration is the registrar's determinism gate: the
 // 10k-endpoint cold-restart avalanche must be bit-identical between
-// the single-scheduler engine and the partitioned engine at shards
-// {2,4} for seeds {1,42,160} — the generator's per-second timeline,
+// one shard and shards {2,4} for seeds {1,42,160} — the generator's per-second timeline,
 // both incarnations' counters, the nonce-cache stats, the location
 // store's end state and the registrar telemetry JSON all compared
 // field by field.

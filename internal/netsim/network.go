@@ -204,14 +204,13 @@ func newNetShard(sched *Scheduler, n int) *netShard {
 }
 
 // Network is a simulated datagram fabric: hosts, point-to-point link
-// profiles, and port bindings. In the classic single-scheduler form all
+// profiles, and port bindings. On a single scheduler (NewNetwork) all
 // methods must be called from the scheduler's goroutine (inside events
-// or before Run). In sharded form (NewShardedNetwork) the same rule
+// or before Run). On a shard group (NewShardedNetwork) the same rule
 // applies per shard: each host's traffic is handled on its own shard,
 // and setup must finish before the group first runs.
 type Network struct {
 	shards    []*netShard
-	group     *ShardGroup
 	hostShard map[string]int
 	defaults  LinkProfile
 	// linkSeed derives the per-link RNG streams: each (src, dst) pair
@@ -226,7 +225,8 @@ type Network struct {
 }
 
 // NewNetwork creates a single-shard network on the given scheduler,
-// with rng seeding the per-link impairment streams.
+// with rng seeding the per-link impairment streams: the lightweight
+// harness for tests and examples that drive one Scheduler directly.
 func NewNetwork(s *Scheduler, rng *stats.RNG) *Network {
 	return &Network{
 		shards:   []*netShard{newNetShard(s, 1)},
@@ -241,7 +241,6 @@ func NewNetwork(s *Scheduler, rng *stats.RNG) *Network {
 func NewShardedNetwork(g *ShardGroup, rng *stats.RNG, hostShard map[string]int) *Network {
 	n := &Network{
 		shards:    make([]*netShard, g.N()),
-		group:     g,
 		hostShard: hostShard,
 		linkSeed:  rng.Uint64(),
 	}
@@ -635,10 +634,3 @@ func (n *Network) PoolStats() (gets, puts uint64) {
 	}
 	return gets, puts
 }
-
-// Scheduler returns the scheduler driving shard 0 — the only scheduler
-// of a classic single-shard network.
-func (n *Network) Scheduler() *Scheduler { return n.shards[0].sched }
-
-// Group returns the shard group of a sharded network, or nil.
-func (n *Network) Group() *ShardGroup { return n.group }

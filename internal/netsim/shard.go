@@ -60,9 +60,6 @@ const (
 	boundExit = int64(-2)
 )
 
-// traceWindows is a debug switch for window progression.
-var traceWindows = false
-
 // NewShardGroup returns n schedulers prepared to run as one group.
 func NewShardGroup(n int) *ShardGroup {
 	if n < 1 {
@@ -129,12 +126,12 @@ func (g *ShardGroup) Stats() SchedStats {
 }
 
 // Control schedules fn to run with every shard quiescent. With one
-// shard it runs immediately (matching the single-threaded engine, where
-// any callback may touch any host); with several it is staged and
-// applied by the coordinator at the next window barrier, in shard-index
-// then FIFO order. from is the shard index of the calling event's
-// scheduler, which keys the stage so concurrent staging from different
-// shards needs no lock.
+// shard it runs immediately (every host lives on the caller's
+// goroutine, so any callback may touch any host); with several it is
+// staged and applied by the coordinator at the next window barrier, in
+// shard-index then FIFO order. from is the shard index of the calling
+// event's scheduler, which keys the stage so concurrent staging from
+// different shards needs no lock.
 func (g *ShardGroup) Control(from int, fn func()) {
 	if len(g.scheds) == 1 {
 		fn()
@@ -191,9 +188,6 @@ func (g *ShardGroup) Run(until time.Duration) error {
 			break
 		}
 		bound := g.windowEnd(low, until)
-		if traceWindows {
-			fmt.Printf("window low=%d bound=%d\n", low, bound)
-		}
 		g.arrived.Store(0)
 		g.bound.Store(int64(bound))
 		g.epoch.Add(1)

@@ -20,8 +20,8 @@ type echoLog map[string][]string
 // decremented hop budget, every ordered host pair gets an impaired
 // link drawn from the topology seed (jitter strictly below delay, so
 // cross-shard lookahead stays positive), and the initial sends are
-// scattered across hosts and start times. With shards=1 this is
-// exactly the single-scheduler engine; the same seed at any other
+// scattered across hosts and start times. With shards=1 the group runs
+// its one scheduler inline; the same seed at any other
 // shard count must reproduce the identical per-host delivery history.
 func runEchoWorkload(t *testing.T, seed uint64, shards, hosts int) echoLog {
 	t.Helper()
@@ -116,7 +116,7 @@ func runEchoWorkload(t *testing.T, seed uint64, shards, hosts int) echoLog {
 
 // TestShardStressEchoDifferential is the randomized cross-shard
 // handoff/barrier stress: several seeded topologies, each run on the
-// single-scheduler engine and at 2/3/4 shards, demanding identical
+// one-shard group and at 2/3/4 shards, demanding identical
 // per-host delivery histories. Run under -race (make race / verify)
 // this doubles as the data-race gate on the barrier protocol. Failing
 // seeds are logged for replay.
