@@ -19,8 +19,12 @@ build:
 	$(GO) build ./...
 	GOOS=darwin $(GO) build ./...
 
+# vet also fails on any Go file gofmt would rewrite (hidden directories
+# such as the benchmark's .bench_build/ are skipped).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -path './.*' -prune -o -name '*.go' -print)); \
+	if [ -n "$$unformatted" ]; then echo "gofmt: unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -128,7 +132,7 @@ degradation-smoke:
 lint-metrics:
 	$(GO) run ./cmd/lintmetrics
 
-# The pre-merge gate: build (native + darwin cross), vet, full tests,
+# The pre-merge gate: build (native + darwin cross), vet + gofmt, full tests,
 # race tests, chaos smoke, crash smoke, sharded-engine smoke, real-UDP
 # soak, registrar smoke, fuzz smoke, telemetry smoke, QoS smoke,
 # degradation smoke, metric-name lint, coverage floors.

@@ -86,8 +86,9 @@ func main() {
 
 	host, _, _ := strings.Cut(tr.LocalAddr(), ":")
 	// Relay legs are per-call, so they trade receive-side aggregation
-	// (GRO needs 64KB buffers) for bounded memory: a small batch of
-	// small buffers still amortizes syscalls and sends with GSO.
+	// (GRO needs 64KB buffers) for a small live set: a small batch of
+	// small buffers, recycled through the shared pool from call to
+	// call, still amortizes syscalls and sends with GSO.
 	relayCfg := transport.UDPConfig{BatchSize: 8, BufferSize: transport.MaxDatagram}
 	factory := func(port int) (transport.Transport, error) {
 		return transport.ListenUDPConfig(fmt.Sprintf("%s:%d", host, port), relayCfg)

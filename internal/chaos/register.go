@@ -240,8 +240,8 @@ func (r *RegistrationResult) TimelineSummary() string {
 //   - every endpoint completed its initial registration and none
 //     exhausted its retries — shedding delays, it must not strand;
 //   - the store agrees: one live binding per endpoint at the end;
-//   - REGISTER accounting conserves: successes = initial + refreshes
-//     + re-registrations;
+//   - REGISTER accounting conserves: successes equal initial
+//     registrations plus refreshes plus re-registrations;
 //   - after a cold restart the avalanche drains completely, within
 //     MaxDrain, and the 503 peak stays under MaxPeak503 (Retry-After
 //     spreading must prevent a synchronized retry storm);

@@ -168,8 +168,8 @@ func TestGoldenQoSSnapshot(t *testing.T) {
 		summary string
 	}{
 		{
-			name:    "packetized-12E",
-			cfg: ExperimentConfig{Workload: 12, Capacity: 165, Media: sipp.MediaPacketized, Seed: 1},
+			name: "packetized-12E",
+			cfg:  ExperimentConfig{Workload: 12, Capacity: 165, Media: sipp.MediaPacketized, Seed: 1},
 			// The measured sum equals TestGoldenDeterminism's modeled
 			// mosSum for the same cell: with zero link jitter and no
 			// RTCP the sensor's delay terms reduce to the CDR model's.

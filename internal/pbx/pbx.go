@@ -218,10 +218,10 @@ type Server struct {
 	// registersWindow meters REGISTER arrivals for the registrar's
 	// per-second admission lane (reset each sampler tick).
 	registersWindow uint64
-	attemptsEWMA   float64
-	errorsEWMA     float64
-	channelsEWMA   float64 // dampened occupancy for OccupancyPolicy
-	sampler        transport.Timer
+	attemptsEWMA    float64
+	errorsEWMA      float64
+	channelsEWMA    float64 // dampened occupancy for OccupancyPolicy
+	sampler         transport.Timer
 
 	// Degradation ladder (nil while Config.Degradation is disabled)
 	// plus the per-tick sensor deltas its signals are derived from.
@@ -705,4 +705,3 @@ func (s *Server) countError() {
 	s.errorsWindow++
 	s.mu.Unlock()
 }
-

@@ -174,4 +174,3 @@ func hexEncode(dst, src []byte) {
 		dst[2*i+1] = hexDigits[b&0x0f]
 	}
 }
-

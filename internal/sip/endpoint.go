@@ -34,6 +34,11 @@ type Endpoint struct {
 	handler   RequestHandler
 	clientTxs map[string]*ClientTx
 	serverTxs map[string]*ServerTx
+	// unacked indexes the INVITE server transactions not yet ACKed by
+	// the (Call-ID, CSeq number) a 2xx ACK matches on — that ACK
+	// carries a fresh branch, so serverTxs cannot find it. Entries
+	// sharing a key chain through ServerTx.ackNext, oldest first.
+	unacked map[ackKey]*ServerTx
 
 	idCounter uint64
 	stats     Stats
@@ -48,6 +53,7 @@ func NewEndpoint(tr transport.Transport, clock transport.Clock) *Endpoint {
 		clock:     clock,
 		clientTxs: make(map[string]*ClientTx),
 		serverTxs: make(map[string]*ServerTx),
+		unacked:   make(map[ackKey]*ServerTx),
 		stats: Stats{
 			Sent:     make(map[string]uint64),
 			Received: make(map[string]uint64),
@@ -99,6 +105,7 @@ func (ep *Endpoint) Crash() {
 	}
 	ep.clientTxs = make(map[string]*ClientTx)
 	ep.serverTxs = make(map[string]*ServerTx)
+	ep.unacked = make(map[ackKey]*ServerTx)
 	ep.mu.Unlock()
 	ep.tr.Close()
 }
@@ -212,19 +219,16 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 			// transaction, RFC 3261 13.2.2.4): quiet the matching
 			// INVITE server transaction's 2xx retransmissions, then
 			// hand the ACK to the TU for dialog confirmation.
-			for _, tx := range ep.serverTxs {
-				if tx.isInvite && !tx.acked &&
-					tx.req.CallID == msg.CallID && tx.req.CSeq.Seq == msg.CSeq.Seq {
-					tx.acked = true
-					tx.stopTimersLocked()
-					key := tx.key
-					tx.destroyTm = ep.clock.AfterFunc(CompletedLinger, func() {
-						ep.mu.Lock()
-						delete(ep.serverTxs, key)
-						ep.mu.Unlock()
-					})
-					break
-				}
+			if tx := ep.unacked[ackKey{msg.CallID, msg.CSeq.Seq}]; tx != nil {
+				tx.acked = true
+				ep.unindexLocked(tx)
+				tx.stopTimersLocked()
+				key := tx.key
+				tx.destroyTm = ep.clock.AfterFunc(CompletedLinger, func() {
+					ep.mu.Lock()
+					delete(ep.serverTxs, key)
+					ep.mu.Unlock()
+				})
 			}
 			if ep.handler != nil {
 				h := ep.handler
@@ -267,6 +271,9 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 				isInvite: msg.Method == INVITE,
 			}
 			ep.serverTxs[key] = tx
+			if tx.isInvite {
+				ep.indexLocked(tx)
+			}
 			if ep.handler != nil {
 				h := ep.handler
 				after = func() { h(tx, msg, src) }
@@ -277,6 +284,50 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 	if after != nil {
 		after()
 	}
+}
+
+// ackKey is what a 2xx ACK shares with its INVITE (RFC 3261 13.2.2.4).
+type ackKey struct {
+	callID string
+	seq    uint32
+}
+
+func ackKeyOf(tx *ServerTx) ackKey { return ackKey{tx.req.CallID, tx.req.CSeq.Seq} }
+
+// indexLocked adds an unacked INVITE server transaction to the 2xx-ACK
+// index, behind any older transaction with the same key.
+func (ep *Endpoint) indexLocked(tx *ServerTx) {
+	k := ackKeyOf(tx)
+	last := ep.unacked[k]
+	if last == nil {
+		ep.unacked[k] = tx
+		return
+	}
+	for last.ackNext != nil {
+		last = last.ackNext
+	}
+	last.ackNext = tx
+}
+
+// unindexLocked removes tx from the 2xx-ACK index; a transaction not
+// in it is left alone.
+func (ep *Endpoint) unindexLocked(tx *ServerTx) {
+	k := ackKeyOf(tx)
+	head := ep.unacked[k]
+	switch {
+	case head == tx && tx.ackNext == nil:
+		delete(ep.unacked, k)
+	case head == tx:
+		ep.unacked[k] = tx.ackNext
+	default:
+		for p := head; p != nil; p = p.ackNext {
+			if p.ackNext == tx {
+				p.ackNext = tx.ackNext
+				break
+			}
+		}
+	}
+	tx.ackNext = nil
 }
 
 // StatsSnapshot returns a copy of the endpoint counters.

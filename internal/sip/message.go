@@ -138,11 +138,11 @@ type Message struct {
 	StatusCode int
 	ReasonStr  string
 	// Headers.
-	Via         []Via // topmost first
-	From, To    NameAddr
-	CallID      string
-	CSeq        CSeq
-	Contact     *NameAddr
+	Via      []Via // topmost first
+	From, To NameAddr
+	CallID   string
+	CSeq     CSeq
+	Contact  *NameAddr
 	// ContactStar marks the RFC 3261 10.2.2 wildcard "Contact: *",
 	// which (with Expires: 0) unregisters every contact of the
 	// address-of-record. Mutually exclusive with Contact.
@@ -153,7 +153,7 @@ type Message struct {
 	ContactExpires int
 	MaxForwards    int
 	Expires        int // -1 when absent
-	ContentType string
+	ContentType    string
 	// RetryAfter is the Retry-After value in seconds on 503 (and other
 	// rejection) responses — the overload-control feedback channel of
 	// RFC 3261 21.5.4. Zero means the header is absent: a zero-second

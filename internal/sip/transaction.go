@@ -50,6 +50,7 @@ type ServerTx struct {
 	lastWire  []byte
 	lastCode  int
 	acked     bool
+	ackNext   *ServerTx // next unacked INVITE with the same ackKey
 	onAck     func(*Message)
 	onCancel  func(*Message)
 	retrans   transport.Timer
@@ -72,8 +73,17 @@ func (tx *ServerTx) OnAck(fn func(*Message)) { tx.onAck = fn }
 // OnCancel installs a callback invoked when a CANCEL matching this
 // INVITE transaction arrives before a final response. The transaction
 // layer answers the CANCEL itself with 200; the callback is where the
-// TU responds 487 on the INVITE (RFC 3261 9.2).
-func (tx *ServerTx) OnCancel(fn func(*Message)) { tx.onCancel = fn }
+// TU responds 487 on the INVITE (RFC 3261 9.2). The first final
+// response drops the callback (and a later OnCancel installs none), so
+// a transaction lingering for ACKs does not keep the TU's call state
+// reachable.
+func (tx *ServerTx) OnCancel(fn func(*Message)) {
+	tx.ep.mu.Lock()
+	if tx.lastCode < 200 {
+		tx.onCancel = fn
+	}
+	tx.ep.mu.Unlock()
+}
 
 // Respond sends a response on the transaction. Provisional responses
 // may be followed by more responses; the first final response arms the
@@ -92,6 +102,7 @@ func (tx *ServerTx) respondLocked(resp *Message) {
 	if resp.StatusCode < 200 {
 		return
 	}
+	tx.onCancel = nil // CANCEL is moot once a final response is out
 	if tx.isInvite && !tx.acked {
 		// Retransmit the final response until ACK (Timer G/H). This
 		// deliberately covers 2xx as well: the B2BUA owns reliability
@@ -102,6 +113,7 @@ func (tx *ServerTx) respondLocked(resp *Message) {
 			tx.ep.mu.Lock()
 			tx.stopTimersLocked()
 			delete(tx.ep.serverTxs, tx.key)
+			tx.ep.unindexLocked(tx)
 			tx.ep.mu.Unlock()
 		})
 	} else {
@@ -146,7 +158,10 @@ func (tx *ServerTx) stopTimersLocked() {
 
 // handleAckLocked consumes an ACK matching this INVITE transaction.
 func (tx *ServerTx) handleAckLocked(ack *Message) func() {
-	tx.acked = true
+	if !tx.acked {
+		tx.acked = true
+		tx.ep.unindexLocked(tx)
+	}
 	tx.stopTimersLocked()
 	// Leave the tx in place briefly to absorb duplicate ACKs.
 	tx.destroyTm = tx.ep.clock.AfterFunc(CompletedLinger, func() {

@@ -63,15 +63,15 @@ type RegisterSample struct {
 
 // RegisterResults aggregates a finished registration workload.
 type RegisterResults struct {
-	Endpoints   int
-	Registers   int // successful REGISTER round-trips, all kinds
-	Initial     int // first-time registrations
-	Refreshes   int // refresh round-trips
-	Reregisters int // avalanche re-registrations
+	Endpoints    int
+	Registers    int // successful REGISTER round-trips, all kinds
+	Initial      int // first-time registrations
+	Refreshes    int // refresh round-trips
+	Reregisters  int // avalanche re-registrations
 	StaleRetries int // 401 stale=true re-challenges absorbed
-	Shed        int // 503 responses received
-	Retries     int // re-attempts after 503/timeout
-	Failed      int // endpoints that exhausted their retries
+	Shed         int // 503 responses received
+	Retries      int // re-attempts after 503/timeout
+	Failed       int // endpoints that exhausted their retries
 	// PeakOKPerSec / PeakShedPerSec are the busiest seconds.
 	PeakOKPerSec   int
 	PeakShedPerSec int

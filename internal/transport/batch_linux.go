@@ -65,6 +65,21 @@ func enableGRO(conn *net.UDPConn) bool {
 	return serr == nil
 }
 
+// gsoProbe caches probeGSO's answer: UDP_SEGMENT support is a property
+// of the kernel, not of one socket, so the first send queue's probe
+// serves every later socket of the process.
+var gsoProbe struct {
+	once sync.Once
+	ok   bool
+}
+
+// gsoSupported reports the process-wide GSO verdict, probing rc the
+// first time it is asked.
+func gsoSupported(rc syscall.RawConn) bool {
+	gsoProbe.once.Do(func() { gsoProbe.ok = probeGSO(rc) })
+	return gsoProbe.ok
+}
+
 // probeGSO reports whether the kernel understands UDP_SEGMENT
 // (setting it to 0 is a no-op on ≥4.18, ENOPROTOOPT before).
 func probeGSO(rc syscall.RawConn) bool {
@@ -167,7 +182,7 @@ func sockaddrToAddrPort(rsa *syscall.RawSockaddrInet6) netip.AddrPort {
 // syscall.
 type batchReader struct {
 	rc    syscall.RawConn
-	pool  *BufPool
+	pool  *bufLease
 	bufs  [][]byte
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet6
@@ -181,7 +196,7 @@ type batchReader struct {
 	rErr   syscall.Errno
 }
 
-func newBatchReader(conn *net.UDPConn, pool *BufPool, k int) (*batchReader, error) {
+func newBatchReader(conn *net.UDPConn, pool *bufLease, k int) (*batchReader, error) {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil, err
@@ -196,7 +211,7 @@ func newBatchReader(conn *net.UDPConn, pool *BufPool, k int) (*batchReader, erro
 		ctrls: make([][]byte, k),
 	}
 	for i := 0; i < k; i++ {
-		buf := pool.Get()
+		buf := pool.get()
 		br.bufs[i] = buf
 		br.iovs[i].Base = &buf[0]
 		br.iovs[i].SetLen(len(buf))
@@ -274,21 +289,25 @@ func (br *batchReader) gsoSize(i int) int {
 	return int(*(*uint16)(unsafe.Pointer(&cb[syscall.CmsgLen(0)])))
 }
 
+// close returns the buffers to the pool and forgets them, iovecs
+// included, so nothing here keeps a recycled buffer reachable.
 func (br *batchReader) close() {
-	for _, b := range br.bufs {
-		br.pool.Put(b)
+	for i, b := range br.bufs {
+		br.pool.put(b)
+		br.bufs[i] = nil
+		br.iovs[i].Base = nil
 	}
 }
 
 // runBatch is the batched read loop. It reports false if batch setup
 // failed, in which case the caller falls back to the portable loop.
 func (t *UDPTransport) runBatch() bool {
-	br, err := newBatchReader(t.conn, t.pool, t.batch)
+	br, err := newBatchReader(t.conn, &t.pool, t.batch)
 	if err != nil {
 		return false
 	}
 	defer br.close()
-	if t.pool.Size() >= maxUDPPayload {
+	if t.pool.size() >= maxUDPPayload {
 		// Buffers can hold a full aggregate, so let the kernel deliver
 		// GSO batches uncut; the split below restores wire framing.
 		// The fallback loop never sees GRO: it only runs when the
@@ -351,7 +370,7 @@ func (t *UDPTransport) runBatch() bool {
 type sendQueue struct {
 	t    *UDPTransport
 	rc   syscall.RawConn
-	pool *BufPool
+	pool *bufLease
 	v6   bool
 	gso  bool
 
@@ -389,9 +408,9 @@ func newSendQueue(t *UDPTransport) (*sendQueue, error) {
 	q := &sendQueue{
 		t:        t,
 		rc:       rc,
-		pool:     t.pool,
+		pool:     &t.pool,
 		v6:       t.v6,
-		gso:      probeGSO(rc),
+		gso:      gsoSupported(rc),
 		bufs:     make([][]byte, k),
 		iovs:     make([]syscall.Iovec, k),
 		names:    make([]syscall.RawSockaddrInet6, k),
@@ -402,7 +421,7 @@ func newSendQueue(t *UDPTransport) (*sendQueue, error) {
 		cmsgs:    make([][]byte, k),
 	}
 	for i := 0; i < k; i++ {
-		buf := q.pool.Get()
+		buf := q.pool.get()
 		q.bufs[i] = buf
 		q.iovs[i].Base = &buf[0]
 		cb := make([]byte, syscall.CmsgSpace(2))
@@ -439,7 +458,7 @@ func (q *sendQueue) writeRaw(fd uintptr) bool {
 }
 
 func (q *sendQueue) queue(ap netip.AddrPort, data []byte) {
-	if len(data) > q.pool.Size() {
+	if len(data) > q.pool.size() {
 		q.t.sendNow(ap, data) // oversized: bypass the slot buffers
 		return
 	}
@@ -532,7 +551,9 @@ func (q *sendQueue) flushLocked() {
 }
 
 // close abandons any pending tail (the socket is already gone when
-// the transport closes) and returns the slot buffers to the pool.
+// the transport closes) and returns the slot buffers to the pool,
+// dropping every reference to them: the queue lives as long as its
+// transport, which may outlive Close.
 func (q *sendQueue) close() {
 	q.mu.Lock()
 	if q.closed {
@@ -542,8 +563,10 @@ func (q *sendQueue) close() {
 	q.closed = true
 	q.t.txDropped.Add(uint64(q.pending))
 	q.pending = 0
-	for _, b := range q.bufs {
-		q.pool.Put(b)
+	for i, b := range q.bufs {
+		q.pool.put(b)
+		q.bufs[i] = nil
+		q.iovs[i].Base = nil
 	}
 	q.mu.Unlock()
 }

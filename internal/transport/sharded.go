@@ -10,7 +10,8 @@ import (
 // 4-tuple to a socket, so every shard runs its own read loop (and, on
 // batch-capable platforms, its own recvmmsg buffers and send queue) —
 // the real-socket analogue of the sim engine's shard-per-core
-// scheduler. All shards share one buffer pool and one address cache.
+// scheduler. All shards share one address cache, and draw buffers from
+// the process-wide pool of their size like any other UDPTransport.
 //
 // Outbound datagrams rotate across shards; every shard's socket has
 // the same local port, so replies are indistinguishable to peers.
@@ -19,7 +20,6 @@ import (
 // degrades to a single shard, keeping callers portable.
 type ShardedUDP struct {
 	shards []*UDPTransport
-	pool   *BufPool
 	next   atomic.Uint32
 }
 
@@ -32,12 +32,11 @@ func ListenUDPSharded(addr string, n int, cfg UDPConfig) (*ShardedUDP, error) {
 	if n > 1 && !reusePortAvailable {
 		n = 1
 	}
-	pool := poolFor(cfg)
 	addrs := newAddrCache()
-	g := &ShardedUDP{pool: pool}
+	g := &ShardedUDP{}
 	bind := addr
 	for i := 0; i < n; i++ {
-		t, err := listenUDP(bind, cfg, n > 1, pool, addrs)
+		t, err := listenUDP(bind, cfg, n > 1, addrs)
 		if err != nil {
 			g.Close()
 			return nil, fmt.Errorf("shard %d: %w", i, err)
@@ -123,8 +122,15 @@ func (g *ShardedUDP) Stats() TransportStats {
 	return s
 }
 
-// PoolStats returns the shared buffer pool's gets and puts.
-func (g *ShardedUDP) PoolStats() (gets, puts uint64) { return g.pool.Stats() }
+// PoolStats sums the shards' own gets and puts on the shared pool.
+func (g *ShardedUDP) PoolStats() (gets, puts uint64) {
+	for _, t := range g.shards {
+		sg, sp := t.PoolStats()
+		gets += sg
+		puts += sp
+	}
+	return gets, puts
+}
 
 // Close shuts every shard down.
 func (g *ShardedUDP) Close() error {

@@ -54,7 +54,8 @@ const DefaultBatch = 32
 
 // UDPConfig tunes a real-UDP transport. The zero value gives the
 // production defaults: batched syscalls where the platform supports
-// them (linux amd64/arm64) and a private buffer pool.
+// them (linux amd64/arm64) and the shared buffer pool of the default
+// size.
 type UDPConfig struct {
 	// DisableBatch forces the portable single-datagram read/write
 	// loop even on batch-capable platforms. The benchmarks use it to
@@ -67,8 +68,11 @@ type UDPConfig struct {
 	// the platform default: MaxDatagram, or 64KB on the batched path
 	// so a full GRO aggregate fits (which is what arms receive-side
 	// segment coalescing). The read loop and send queue each hold
-	// BatchSize such buffers, so per-call transports (RTP relay legs)
-	// set this low to bound memory, trading away GRO.
+	// BatchSize such buffers, drawn from the process-wide pool for
+	// this size: transports of one size recycle each other's buffers,
+	// and the pool is trimmed as they close. Per-call transports (RTP
+	// relay legs) still pick a small size, which keeps the live set
+	// small at many concurrent calls, at the price of GRO.
 	BufferSize int
 }
 
@@ -95,7 +99,7 @@ type TransportStats struct {
 // ownership contract: valid only for the duration of the call.
 type UDPTransport struct {
 	conn  *net.UDPConn
-	pool  *BufPool
+	pool  bufLease // this socket's share of the process-wide pool
 	addrs *addrCache
 	batch int // datagrams per syscall; 0 = portable path
 	v6    bool
@@ -126,26 +130,23 @@ func ListenUDP(addr string) (*UDPTransport, error) {
 
 // ListenUDPConfig is ListenUDP with explicit tuning.
 func ListenUDPConfig(addr string, cfg UDPConfig) (*UDPTransport, error) {
-	return listenUDP(addr, cfg, false, nil, nil)
+	return listenUDP(addr, cfg, false, nil)
 }
 
 // listenUDP is the shared constructor. reuse requests SO_REUSEPORT
-// (sharded listeners); pool and addrs, when non-nil, are shared across
-// the shards of one listener group.
-func listenUDP(addr string, cfg UDPConfig, reuse bool, pool *BufPool, addrs *addrCache) (*UDPTransport, error) {
+// (sharded listeners); addrs, when non-nil, is shared across the
+// shards of one listener group.
+func listenUDP(addr string, cfg UDPConfig, reuse bool, addrs *addrCache) (*UDPTransport, error) {
 	conn, err := listenUDPConn(addr, reuse)
 	if err != nil {
 		return nil, err
-	}
-	if pool == nil {
-		pool = poolFor(cfg)
 	}
 	if addrs == nil {
 		addrs = newAddrCache()
 	}
 	t := &UDPTransport{
 		conn:     conn,
-		pool:     pool,
+		pool:     bufLease{pool: poolFor(cfg)},
 		addrs:    addrs,
 		done:     make(chan struct{}),
 		loopDone: make(chan struct{}),
@@ -166,18 +167,18 @@ func listenUDP(addr string, cfg UDPConfig, reuse bool, pool *BufPool, addrs *add
 	return t, nil
 }
 
-// poolFor sizes a buffer pool for cfg. The batched path defaults to
-// buffers large enough for a full GRO aggregate (the kernel can hand
-// us up to 64KB of coalesced same-flow datagrams in one delivery);
-// the portable path needs only one datagram.
+// poolFor returns the shared buffer pool sized for cfg. The batched
+// path defaults to buffers large enough for a full GRO aggregate (the
+// kernel can hand us up to 64KB of coalesced same-flow datagrams in
+// one delivery); the portable path needs only one datagram.
 func poolFor(cfg UDPConfig) *BufPool {
 	if cfg.BufferSize > 0 {
-		return NewBufPool(cfg.BufferSize)
+		return sharedPool(cfg.BufferSize)
 	}
 	if batchCapable && !cfg.DisableBatch {
-		return NewBufPool(batchBufSize)
+		return sharedPool(batchBufSize)
 	}
-	return NewBufPool(MaxDatagram)
+	return sharedPool(MaxDatagram)
 }
 
 // listenPlainUDP is the portable bind without socket options.
@@ -203,8 +204,8 @@ func (t *UDPTransport) run() {
 // contract matches netsim: data is valid only during the call) nor
 // formats the source address per packet (sources are interned).
 func (t *UDPTransport) runFallback() {
-	buf := t.pool.Get()
-	defer t.pool.Put(buf)
+	buf := t.pool.get()
+	defer t.pool.put(buf)
 	for {
 		n, src, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -322,13 +323,16 @@ func (t *UDPTransport) Stats() TransportStats {
 	}
 }
 
-// PoolStats returns the buffer pool's lifetime gets and puts. After
-// Close the two are equal; a difference is a leaked buffer.
-func (t *UDPTransport) PoolStats() (gets, puts uint64) { return t.pool.Stats() }
+// PoolStats returns this transport's own lifetime gets and puts on the
+// shared buffer pool. After Close the two are equal; a difference is a
+// leaked buffer.
+func (t *UDPTransport) PoolStats() (gets, puts uint64) { return t.pool.stats() }
 
-// Close stops the read loop, releases the socket and returns every
-// pooled buffer. It is idempotent and must not be called from the
-// transport's own Receiver (it waits for the read loop to exit).
+// Close stops the read loop, releases the socket, returns every pooled
+// buffer and drops its own references to them, then trims the shared
+// pool's free list to what its remaining users hold. It is idempotent
+// and must not be called from the transport's own Receiver (it waits
+// for the read loop to exit).
 func (t *UDPTransport) Close() error {
 	var err error
 	t.closeOnce.Do(func() {
@@ -338,6 +342,7 @@ func (t *UDPTransport) Close() error {
 		if t.sq != nil {
 			t.sq.close()
 		}
+		t.pool.pool.trim()
 	})
 	return err
 }

@@ -194,10 +194,96 @@ func TestUDPPoolInvariantConcurrent(t *testing.T) {
 	}
 }
 
+// freeLen returns the number of idle buffers on p's free list.
+func freeLen(p *BufPool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.free)
+}
+
+// TestSharedPoolPerTransport opens several transports of one buffer
+// size — they share that size's process-wide pool — and closes them
+// one at a time. Each closed transport must balance its own gets and
+// puts while its siblings still hold buffers, the free list must never
+// exceed what the open ones hold, and after the last Close the pool
+// keeps no idle buffer.
+func TestSharedPoolPerTransport(t *testing.T) {
+	for name, cfg := range udpVariants() {
+		t.Run(name, func(t *testing.T) {
+			// A size no other test uses, so this pool is ours alone.
+			cfg.BufferSize = 3001
+			cfg.BatchSize = 4
+			if cfg.DisableBatch {
+				cfg.BufferSize++
+			}
+			pool := sharedPool(cfg.BufferSize)
+			if g, p := pool.Stats(); g != p || freeLen(pool) != 0 {
+				t.Fatalf("pool in use before the test: gets=%d puts=%d free=%d", g, p, freeLen(pool))
+			}
+
+			const n = 3
+			trs := make([]*UDPTransport, n)
+			var rx atomic.Uint64
+			for i := range trs {
+				tr, err := ListenUDPConfig("127.0.0.1:0", cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tr.Close()
+				tr.SetReceiver(func(string, []byte) { rx.Add(1) })
+				if tr.pool.pool != pool {
+					t.Fatalf("transport %d draws from a private pool", i)
+				}
+				trs[i] = tr
+			}
+			// Traffic around the ring proves every read loop is up
+			// (and so holding its buffers) before the closes begin.
+			for i, tr := range trs {
+				tr.QueueSend(trs[(i+1)%n].LocalAddr(), []byte("ring"))
+				tr.Flush()
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for rx.Load() < n && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if rx.Load() < n {
+				t.Fatalf("ring delivered %d/%d datagrams", rx.Load(), n)
+			}
+
+			returned := 0
+			for i, tr := range trs {
+				if err := tr.Close(); err != nil {
+					t.Fatal(err)
+				}
+				gets, puts := tr.PoolStats()
+				if gets == 0 || gets != puts {
+					t.Errorf("transport %d after Close: gets=%d puts=%d", i, gets, puts)
+				}
+				returned += int(puts)
+				held := 0
+				for j, open := range trs[i+1:] {
+					g, p := open.PoolStats()
+					if g == p {
+						t.Errorf("open sibling %d holds no buffer", i+1+j)
+					}
+					held += int(g - p)
+				}
+				if want := min(returned, held); freeLen(pool) != want {
+					t.Errorf("after closing %d: free=%d, want min(returned %d, held %d)", i, freeLen(pool), returned, held)
+				}
+				returned = freeLen(pool)
+			}
+			if g, p := pool.Stats(); g != p || freeLen(pool) != 0 {
+				t.Errorf("after the last Close: gets=%d puts=%d free=%d, want balanced and empty", g, p, freeLen(pool))
+			}
+		})
+	}
+}
+
 // TestShardedUDP binds multiple SO_REUSEPORT shards on one port and
 // checks that traffic from many distinct sources is delivered exactly
-// once, that replies work from any shard, and that the shared pool
-// balances after close.
+// once, that replies work from any shard, and that the shards' pool
+// accounting balances after close.
 func TestShardedUDP(t *testing.T) {
 	const shards = 3
 	g, err := ListenUDPSharded("127.0.0.1:0", shards, UDPConfig{})
